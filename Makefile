@@ -53,14 +53,15 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'Serial|Parallel' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'CloneRelease|NewParallelNoPool' -benchmem ./internal/sim
 
-# One-iteration compile-and-run pass over the SAT-engine, dataflow, and
-# vet benchmarks: the legacy-vs-COI miter attack pair, the propagation
-# microbench, the five-domain fixpoint sweep (whose worker-invariance
-# assertion runs before the timer), and a full secret-flow analysis of
-# the orapvet fixture module. Catches benchmark bit-rot in CI without
-# paying for stable timings.
+# One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
+# and vet benchmarks: the legacy-vs-COI miter attack pair, the propagation
+# microbench, one pooled-solver ATPG campaign (with -benchmem, so its
+# allocation figure is printed), the five-domain fixpoint sweep (whose
+# worker-invariance assertion runs before the timer), and a full
+# secret-flow analysis of the orapvet fixture module. Catches benchmark
+# bit-rot in CI without paying for stable timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SATAttack|SolverPropagate|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x ./internal/attack ./internal/sat ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet
+	$(GO) test -run '^$$' -bench 'SATAttack|SolverPropagate|ATPGCampaign|Dataflow|BDDCompile|ExactCorrupt|VetModule' -benchtime 1x -benchmem ./internal/attack ./internal/sat ./internal/atpg ./internal/dataflow ./internal/bdd ./internal/audit ./internal/vet
 
 # Machine-readable oracle-channel benchmarks: the serial-vs-batched pairs
 # (scan protocol, disagreement sampling, AppSAT settlement) plus the

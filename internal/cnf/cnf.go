@@ -175,9 +175,14 @@ func equiv(s *sat.Solver, out, a sat.Lit) {
 	s.AddClause(out, a.Not())
 }
 
+// gateBuf sizes the stack buffer of the wide AND/OR clause; gates with
+// more fanins spill to the heap.
+const gateBuf = 8
+
 // andGate emits out ↔ AND(fan...).
 func andGate(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
-	all := make([]sat.Lit, 0, len(fan)+1)
+	var buf [gateBuf]sat.Lit
+	all := buf[:0]
 	for _, f := range fan {
 		s.AddClause(out.Not(), f) // out → f
 		all = append(all, f.Not())
@@ -188,7 +193,8 @@ func andGate(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
 
 // orGate emits out ↔ OR(fan...).
 func orGate(s *sat.Solver, out sat.Lit, fan []sat.Lit) {
-	all := make([]sat.Lit, 0, len(fan)+1)
+	var buf [gateBuf]sat.Lit
+	all := buf[:0]
 	for _, f := range fan {
 		s.AddClause(out, f.Not()) // f → out
 		all = append(all, f)

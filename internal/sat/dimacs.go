@@ -40,7 +40,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		emit([]Lit{u})
 	}
 	for _, c := range s.clauses {
-		emit(c.lits)
+		emit(s.lits(c))
 	}
 	if !s.ok {
 		fmt.Fprintln(bw, "0")
@@ -53,6 +53,14 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 // beyond the declared count are allocated on demand.
 func ParseDIMACS(r io.Reader) (*Solver, error) {
 	s := New()
+	if err := s.readDIMACS(r); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// readDIMACS adds a DIMACS CNF problem to the solver.
+func (s *Solver) readDIMACS(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var clause []Lit
@@ -72,11 +80,11 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 		if strings.HasPrefix(line, "p") {
 			fields := strings.Fields(line)
 			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("sat: dimacs:%d: malformed problem line %q", lineno, line)
+				return fmt.Errorf("sat: dimacs:%d: malformed problem line %q", lineno, line)
 			}
 			nv, err := strconv.Atoi(fields[2])
 			if err != nil || nv < 0 {
-				return nil, fmt.Errorf("sat: dimacs:%d: bad variable count", lineno)
+				return fmt.Errorf("sat: dimacs:%d: bad variable count", lineno)
 			}
 			ensure(nv)
 			continue
@@ -84,7 +92,7 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 		for _, tok := range strings.Fields(line) {
 			n, err := strconv.Atoi(tok)
 			if err != nil {
-				return nil, fmt.Errorf("sat: dimacs:%d: bad literal %q", lineno, tok)
+				return fmt.Errorf("sat: dimacs:%d: bad literal %q", lineno, tok)
 			}
 			if n == 0 {
 				s.AddClause(clause...)
@@ -99,10 +107,10 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sat: dimacs read: %w", err)
+		return fmt.Errorf("sat: dimacs read: %w", err)
 	}
 	if len(clause) != 0 {
-		return nil, fmt.Errorf("sat: dimacs: trailing clause without terminating 0")
+		return fmt.Errorf("sat: dimacs: trailing clause without terminating 0")
 	}
-	return s, nil
+	return nil
 }

@@ -9,7 +9,8 @@ import (
 // variables plus an assumption list, solves with a conflict cap, and
 // checks the solver's answer: a model must satisfy every clause and
 // every assumption, and a second identical run must reproduce the
-// verdict and the exact Stats (determinism gate).
+// verdict and the exact Stats (determinism gate), on a fresh solver and
+// on one that solved a different instance and was then Reset.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{3, 0x01, 0x12, 0x83, 0x21}, []byte{0x01})
 	f.Add([]byte{8, 0x15, 0x9a, 0x3f, 0x70, 0x88, 0x02}, []byte{0x83, 0x04})
@@ -22,8 +23,7 @@ func FuzzSolver(f *testing.F) {
 		nv := 1 + int(clauseBytes[0]%16)
 		// Each remaining byte is one literal: low bits pick the variable,
 		// the top bit the sign; a zero byte terminates the current clause.
-		decode := func() (*Solver, [][]Lit, []Lit) {
-			s := New()
+		decode := func(s *Solver) (*Solver, [][]Lit, []Lit) {
 			vars := mkVars(s, nv)
 			var clauses [][]Lit
 			var cur []Lit
@@ -48,7 +48,7 @@ func FuzzSolver(f *testing.F) {
 			}
 			return s, clauses, assumps
 		}
-		s, clauses, assumps := decode()
+		s, clauses, assumps := decode(New())
 		s.MaxConflicts = 2000
 		ok, err := s.Solve(assumps...)
 		if err != nil {
@@ -73,19 +73,43 @@ func FuzzSolver(f *testing.F) {
 				}
 			}
 		}
-		s2, _, assumps2 := decode()
-		s2.MaxConflicts = 2000
-		ok2, err2 := s2.Solve(assumps2...)
-		if err2 != nil {
-			t.Fatalf("second run errored (%v) where first succeeded", err2)
+		used := New()
+		pigeonhole(used, 4)
+		if ok, _ := used.Solve(); ok {
+			t.Fatal("PHP(4) SAT?")
 		}
-		if ok2 != ok {
-			t.Fatalf("verdict flipped across identical runs: %v then %v", ok, ok2)
-		}
-		if s.Stats() != s2.Stats() {
-			t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s.Stats(), s2.Stats())
+		used.Reset()
+		for run, s2 := range []*Solver{New(), used} {
+			s2, _, assumps2 := decode(s2)
+			s2.MaxConflicts = 2000
+			ok2, err2 := s2.Solve(assumps2...)
+			if err2 != nil {
+				t.Fatalf("run %d errored (%v) where the first succeeded", run+2, err2)
+			}
+			if ok2 != ok {
+				t.Fatalf("verdict flipped across identical runs: %v then %v", ok, ok2)
+			}
+			if s.Stats() != s2.Stats() {
+				t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s.Stats(), s2.Stats())
+			}
+			if !sameModel(s, s2) {
+				t.Fatalf("run %d found a different model", run+2)
+			}
 		}
 	})
+}
+
+// sameModel reports whether two solvers hold the same model.
+func sameModel(a, b *Solver) bool {
+	if a.NumVars() != b.NumVars() {
+		return false
+	}
+	for v := Var(0); int(v) < a.NumVars(); v++ {
+		if a.Value(v) != b.Value(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzParseDIMACS feeds arbitrary text to the DIMACS reader: parsing must

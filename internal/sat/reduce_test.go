@@ -9,8 +9,8 @@ import (
 
 // mkLearnt installs a fake learned clause with the given LBD directly, so
 // reduceDB policy is testable in isolation.
-func mkLearnt(s *Solver, lbd int32, lits ...Lit) *clause {
-	c := &clause{lits: lits, learnt: true, lbd: lbd}
+func mkLearnt(s *Solver, lbd int32, lits ...Lit) cref {
+	c := s.alloc(lits, true, lbd)
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	return c
@@ -36,15 +36,18 @@ func TestReduceDBBoundaryAtFourClauses(t *testing.T) {
 	// the two worst (highest-LBD) halves go, the better half stays.
 	s := New()
 	v := mkVars(s, 8)
-	kept3 := mkLearnt(s, 3, MkLit(v[0], false), MkLit(v[1], false), MkLit(v[2], false))
-	kept4 := mkLearnt(s, 4, MkLit(v[1], false), MkLit(v[2], true), MkLit(v[3], false))
+	mkLearnt(s, 3, MkLit(v[0], false), MkLit(v[1], false), MkLit(v[2], false))
+	mkLearnt(s, 4, MkLit(v[1], false), MkLit(v[2], true), MkLit(v[3], false))
 	mkLearnt(s, 5, MkLit(v[2], false), MkLit(v[3], true), MkLit(v[4], false))
 	mkLearnt(s, 6, MkLit(v[3], false), MkLit(v[4], true), MkLit(v[5], false))
 	s.reduceDB()
 	if got := len(s.learnts); got != 2 {
 		t.Fatalf("expected 2 survivors of 4, got %d", got)
 	}
-	if s.learnts[0] != kept3 || s.learnts[1] != kept4 {
+	// Compaction moves the survivors, so identify them by LBD and
+	// literals rather than by arena reference.
+	if s.clauseLBD(s.learnts[0]) != 3 || s.clauseLBD(s.learnts[1]) != 4 ||
+		s.lits(s.learnts[0])[0] != MkLit(v[0], false) || s.lits(s.learnts[1])[0] != MkLit(v[1], false) {
 		t.Fatal("reduceDB evicted the low-LBD clauses instead of the high-LBD ones")
 	}
 	if s.stats.Reductions != 1 || s.stats.RemovedClauses != 2 {
@@ -202,6 +205,29 @@ func BenchmarkSolverPropagate(b *testing.B) {
 		ok, err := s.Solve(MkLit(v[0], false))
 		if err != nil || !ok {
 			b.Fatalf("Solve = %v, %v", ok, err)
+		}
+	}
+}
+
+// TestResetAfterReduction re-solves PHP(7), whose search compacts the
+// clause arena, on the same solver after Reset: each run must repeat the
+// first one's verdict and Stats exactly.
+func TestResetAfterReduction(t *testing.T) {
+	s := New()
+	var first Stats
+	for run := 0; run < 3; run++ {
+		s.Reset()
+		pigeonhole(s, 7)
+		if ok, err := s.Solve(); ok || err != nil {
+			t.Fatalf("run %d: PHP(7) = %v, %v", run, ok, err)
+		}
+		if run == 0 {
+			first = s.Stats()
+			if first.Reductions == 0 {
+				t.Fatal("PHP(7) never reduced the clause database")
+			}
+		} else if s.Stats() != first {
+			t.Fatalf("run %d after Reset:\n%+v\nfirst run:\n%+v", run, s.Stats(), first)
 		}
 	}
 }

@@ -66,28 +66,35 @@ func boolToLBool(b bool) LBool {
 // Not returns the logical complement (Undef maps to itself).
 func (b LBool) Not() LBool { return -b }
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int32
-	learnt   bool
-}
+// cref addresses a clause in the solver's literal arena: the index of the
+// clause's header word. Watchers and reasons carry a cref instead of a
+// pointer, so watch lists hold no pointers for the garbage collector to
+// scan and a clause's header and literals share cache lines.
+type cref uint32
+
+// crefUndef is the reason of a decision, an assumption or a level-0 unit.
+const crefUndef = ^cref(0)
+
+// A clause occupies clauseHeader+size consecutive arena words: the header
+// word holds size<<1 | learnt, the next two the LBD and the activity (a
+// count of conflicts the learned clause took part in), then the literals.
+const clauseHeader = 3
 
 // watcher is the long-clause (≥3 literals) watch entry. The blocking
 // literal lets propagation skip the clause without touching its memory
 // whenever the blocker is already satisfied.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
 // binWatch is the specialized binary-clause watch entry: when the watched
 // literal is falsified the only possible consequence is `other`, so
 // binary propagation reads nothing but the watcher itself. The clause
-// pointer is carried only as the reason for conflict analysis.
+// reference is carried only as the reason for conflict analysis.
 type binWatch struct {
 	other Lit
-	c     *clause
+	c     cref
 }
 
 // glueLBD is the LBD at or below which a learned clause is "glue":
@@ -95,15 +102,23 @@ type binWatch struct {
 const glueLBD = 2
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
+//
+// Every clause lives in one flat literal arena; reduceDB compacts it into
+// a spare arena of the same capacity. Reset empties the solver but keeps
+// the capacity of the arena and of every per-variable and per-clause
+// slice, so a solver reused across many small instances stops allocating
+// once it has seen the largest one.
 type Solver struct {
-	clauses    []*clause
-	learnts    []*clause
+	arena      []Lit
+	spare      []Lit // compaction target, swapped with arena
+	clauses    []cref
+	learnts    []cref
 	watches    [][]watcher  // indexed by Lit; long clauses only
 	binWatches [][]binWatch // indexed by Lit; binary clauses only
 
 	assigns  []LBool // per var
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	polarity []bool // saved phase per var
 	activity []float64
 	varInc   float64
@@ -115,6 +130,7 @@ type Solver struct {
 
 	seen       []bool
 	analyzeBuf []Lit
+	addBuf     []Lit   // AddClause normalization scratch
 	levelMark  []int64 // per decision level, stamped by computeLBD
 	lbdStamp   int64
 
@@ -138,6 +154,37 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to the state New gives: no variables, no
+// clauses, no model, zero Stats and no conflict budget. It keeps the
+// capacity of every internal slice, so the next instance reuses the
+// memory of the previous ones. A reset solver makes exactly the decisions
+// a fresh one makes on the same clause and assumption sequence.
+func (s *Solver) Reset() {
+	s.arena = s.arena[:0]
+	s.clauses = s.clauses[:0]
+	s.learnts = s.learnts[:0]
+	s.watches = s.watches[:0]
+	s.binWatches = s.binWatches[:0]
+	s.assigns = s.assigns[:0]
+	s.level = s.level[:0]
+	s.reason = s.reason[:0]
+	s.polarity = s.polarity[:0]
+	s.activity = s.activity[:0]
+	s.varInc = 1
+	s.heap.heap = s.heap.heap[:0]
+	s.heap.pos = s.heap.pos[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.seen = s.seen[:0]
+	s.levelMark = append(s.levelMark[:0], 0)
+	s.lbdStamp = 0
+	s.ok = true
+	s.model = s.model[:0]
+	s.MaxConflicts = 0
+	s.stats = Stats{}
+}
+
 // Stats returns a copy of the solver counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
@@ -149,16 +196,58 @@ func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, Undef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.polarity = append(s.polarity, true) // default phase: false (neg lit)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
+	s.watches = growLists(s.watches)
+	s.binWatches = growLists(s.binWatches)
 	s.levelMark = append(s.levelMark, 0)
 	s.heap.insert(v)
 	return v
 }
+
+// growLists appends the watch lists of a new variable's two literals,
+// reusing the emptied backing arrays a Reset left beyond len(ls).
+func growLists[T any](ls [][]T) [][]T {
+	n := len(ls)
+	if n+2 > cap(ls) {
+		return append(ls, nil, nil)
+	}
+	ls = ls[:n+2]
+	ls[n], ls[n+1] = ls[n][:0], ls[n+1][:0]
+	return ls
+}
+
+// alloc stores a clause in the arena and returns its reference. A learned
+// clause starts with activity one.
+func (s *Solver) alloc(lits []Lit, learnt bool, lbd int32) cref {
+	if uint64(len(s.arena))+clauseHeader+uint64(len(lits)) >= uint64(crefUndef) {
+		panic("sat: clause arena exceeds 2^32 words")
+	}
+	c := cref(len(s.arena))
+	hdr, act := Lit(len(lits))<<1, Lit(0)
+	if learnt {
+		hdr, act = hdr|1, 1
+	}
+	s.arena = append(s.arena, hdr, Lit(lbd), act)
+	s.arena = append(s.arena, lits...)
+	return c
+}
+
+// lits returns the clause's literals; the slice aliases the arena and is
+// valid until the next alloc or compaction.
+func (s *Solver) lits(c cref) []Lit {
+	lo := int(c) + clauseHeader
+	hi := lo + int(s.arena[c]>>1)
+	return s.arena[lo:hi:hi]
+}
+
+func (s *Solver) isLearnt(c cref) bool { return s.arena[c]&1 == 1 }
+
+func (s *Solver) clauseLBD(c cref) int32 { return int32(s.arena[c+1]) }
+
+func (s *Solver) clauseActivity(c cref) uint32 { return uint32(s.arena[c+2]) }
 
 func (s *Solver) valueLit(l Lit) LBool {
 	v := s.assigns[l.Var()]
@@ -195,8 +284,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if len(s.trailLim) != 0 {
 		panic("sat: AddClause called during search")
 	}
-	// Normalize: sort-unique, drop false lits, detect tautology.
-	norm := make([]Lit, 0, len(lits))
+	// Normalize: drop duplicate and false lits, detect tautology.
+	norm := s.addBuf[:0]
 	for _, l := range lits {
 		if int(l.Var()) >= s.NumVars() {
 			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.Var()))
@@ -221,34 +310,37 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			norm = append(norm, l)
 		}
 	}
+	s.addBuf = norm[:0]
 	switch len(norm) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(norm[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(norm[0], crefUndef)
+		s.ok = s.propagate() == crefUndef
 		return s.ok
 	}
-	c := &clause{lits: norm}
+	c := s.alloc(norm, false, 0)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	if len(c.lits) == 2 {
-		s.binWatches[c.lits[0].Not()] = append(s.binWatches[c.lits[0].Not()], binWatch{c.lits[1], c})
-		s.binWatches[c.lits[1].Not()] = append(s.binWatches[c.lits[1].Not()], binWatch{c.lits[0], c})
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	if len(lits) == 2 {
+		s.binWatches[lits[0].Not()] = append(s.binWatches[lits[0].Not()], binWatch{lits[1], c})
+		s.binWatches[lits[1].Not()] = append(s.binWatches[lits[1].Not()], binWatch{lits[0], c})
 		return
 	}
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 }
 
-func (s *Solver) detach(c *clause) {
-	if len(c.lits) == 2 {
-		for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	if len(lits) == 2 {
+		for _, l := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 			ws := s.binWatches[l]
 			for i := range ws {
 				if ws[i].c == c {
@@ -260,7 +352,7 @@ func (s *Solver) detach(c *clause) {
 		}
 		return
 	}
-	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+	for _, l := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[l]
 		for i := range ws {
 			if ws[i].c == c {
@@ -272,7 +364,7 @@ func (s *Solver) detach(c *clause) {
 	}
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	s.assigns[v] = boolToLBool(!l.Neg())
 	s.level[v] = int32(s.decisionLevel())
@@ -283,8 +375,8 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation and returns the conflicting clause,
-// or nil when no conflict arises.
-func (s *Solver) propagate() *clause {
+// or crefUndef when no conflict arises.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -303,7 +395,6 @@ func (s *Solver) propagate() *clause {
 		}
 		ws := s.watches[p]
 		j := 0
-		var confl *clause
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
@@ -313,21 +404,22 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.valueLit(first) == True {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.valueLit(lits[k]) != False {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					continue nextWatcher
 				}
 			}
@@ -335,7 +427,6 @@ func (s *Solver) propagate() *clause {
 			ws[j] = watcher{c, first}
 			j++
 			if s.valueLit(first) == False {
-				confl = c
 				// Copy remaining watchers and stop.
 				for i++; i < len(ws); i++ {
 					ws[j] = ws[i]
@@ -343,13 +434,13 @@ func (s *Solver) propagate() *clause {
 				}
 				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				return confl
+				return c
 			}
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) varBump(v Var) {
@@ -365,9 +456,7 @@ func (s *Solver) varBump(v Var) {
 
 func (s *Solver) varDecay() { s.varInc /= 0.95 }
 
-func (s *Solver) claBump(c *clause) {
-	c.activity++
-}
+func (s *Solver) claBump(c cref) { s.arena[c+2]++ }
 
 // computeLBD returns the literal block distance of the clause: the number
 // of distinct non-root decision levels among its literals (Glucose's
@@ -388,8 +477,9 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 
 // analyze performs first-UIP conflict analysis and returns the learned
 // clause (with the asserting literal first), the backtrack level and the
-// clause's LBD.
-func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
+// clause's LBD. The clause aliases the solver's analysis buffer and is
+// valid until the next analyze.
+func (s *Solver) analyze(confl cref) ([]Lit, int, int32) {
 	learnt := s.analyzeBuf[:0]
 	learnt = append(learnt, 0) // placeholder for asserting literal
 	counter := 0
@@ -397,10 +487,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 	idx := len(s.trail) - 1
 
 	for {
-		if confl.learnt {
+		if s.isLearnt(confl) {
 			s.claBump(confl)
 		}
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			// Skip the asserted literal when walking a reason clause. The
 			// positional skip of lits[0] is not valid for binary reasons
 			// reached through binWatches, whose literal order is fixed at
@@ -467,9 +557,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 		s.seen[l.Var()] = false
 	}
 	s.analyzeBuf = learnt
-	res := make([]Lit, len(learnt))
-	copy(res, learnt)
-	return res, btLevel, lbd
+	return learnt, btLevel, lbd
 }
 
 // redundant reports whether literal l in a learned clause is implied by a
@@ -477,10 +565,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int, int32) {
 // level 0 (one-step minimization).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == crefUndef {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -500,7 +588,7 @@ func (s *Solver) backtrackTo(level int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assigns[v] == False // phase saving
 		s.assigns[v] = Undef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.heap.insertMaybe(v)
 	}
 	s.trail = s.trail[:bound]
@@ -539,7 +627,8 @@ func luby(i int64) int64 {
 // policy is LBD-tiered, Glucose-style: binary clauses, glue clauses
 // (LBD ≤ 2) and clauses locked as reasons on the current trail are never
 // evicted; the rest are ranked by LBD (ties broken toward keeping the
-// more active clause) and the worse half is detached.
+// more active clause) and the worse half is detached. The arena is then
+// compacted; the surviving learned clauses keep their order.
 //
 // Learned-clause sets smaller than four are left alone: median-selecting
 // on a near-empty candidate slice is meaningless and the clauses are
@@ -548,18 +637,18 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) < 4 {
 		return
 	}
-	locked := func(c *clause) bool {
-		v := c.lits[0].Var()
+	locked := func(c cref) bool {
+		v := s.lits(c)[0].Var()
 		return s.assigns[v] != Undef && s.reason[v] == c
 	}
-	evictable := func(c *clause) bool {
-		return len(c.lits) > 2 && c.lbd > glueLBD && !locked(c)
+	evictable := func(c cref) bool {
+		return len(s.lits(c)) > 2 && s.clauseLBD(c) > glueLBD && !locked(c)
 	}
 	// Composite rank: LBD dominates, clause activity breaks ties (higher
 	// score = better eviction candidate). Activities are conflict counts,
 	// far below the tier width, so tiers never interleave.
-	score := func(c *clause) float64 {
-		return float64(c.lbd)*1e12 - c.activity
+	score := func(c cref) float64 {
+		return float64(s.clauseLBD(c))*1e12 - float64(s.clauseActivity(c))
 	}
 	scores := make([]float64, 0, len(s.learnts))
 	for _, c := range s.learnts {
@@ -585,7 +674,47 @@ func (s *Solver) reduceDB() {
 	if removed > 0 {
 		s.stats.Reductions++
 		s.stats.RemovedClauses += int64(removed)
+		s.compact()
 	}
+}
+
+// compact copies the live clauses (problem clauses, then learned clauses,
+// each list in order) into the spare arena and redirects every watcher,
+// reason and clause list to the new references. Watch-list order is
+// untouched, so propagation visits clauses exactly as before.
+func (s *Solver) compact() {
+	from, to := s.arena, s.spare[:0]
+	// move copies one clause and leaves its new reference in the old
+	// copy's LBD word, where relocate finds it.
+	move := func(c cref) cref {
+		n := cref(len(to))
+		to = append(to, from[c:int(c)+clauseHeader+int(from[c]>>1)]...)
+		from[c+1] = Lit(n)
+		return n
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = move(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = move(c)
+	}
+	relocate := func(c cref) cref { return cref(from[c+1]) }
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = relocate(ws[i].c)
+		}
+	}
+	for _, ws := range s.binWatches {
+		for i := range ws {
+			ws[i].c = relocate(ws[i].c)
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = relocate(r)
+		}
+	}
+	s.arena, s.spare = to, from[:0]
 }
 
 // quickSelectMedian returns the median element of a (by value, not
@@ -664,7 +793,7 @@ func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
 		}
 		if status != Undef {
 			if status == True {
-				s.model = append([]LBool(nil), s.assigns...)
+				s.model = append(s.model[:0], s.assigns...)
 				return true, nil
 			}
 			return false, nil
@@ -683,7 +812,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -703,10 +832,10 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 					return False, nil
 				}
 				if s.valueLit(learnt[0]) == Undef {
-					s.uncheckedEnqueue(learnt[0], nil)
+					s.uncheckedEnqueue(learnt[0], crefUndef)
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true, activity: 1, lbd: lbd}
+				c := s.alloc(learnt, true, lbd)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				if s.valueLit(learnt[0]) == Undef {
@@ -739,7 +868,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 				return False, nil
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(a, nil)
+			s.uncheckedEnqueue(a, crefUndef)
 			continue
 		}
 		v := s.pickBranchVar()
@@ -748,7 +877,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) (LBool, error) {
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(MkLit(v, s.polarity[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, s.polarity[v]), crefUndef)
 	}
 }
 

@@ -115,3 +115,33 @@ func TestDIMACSCorpus(t *testing.T) {
 		})
 	}
 }
+
+// TestDIMACSCorpusOnResetSolver solves every corpus instance on one
+// solver, Reset between instances, each time after a different instance
+// than the last: verdict, model and Stats must equal a fresh solver's.
+func TestDIMACSCorpusOnResetSolver(t *testing.T) {
+	reused := New()
+	for i := range corpus {
+		for _, tc := range []string{corpus[(i+1)%len(corpus)].file, corpus[i].file} {
+			path := filepath.Join("testdata", tc)
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused.Reset()
+			err = reused.readDIMACS(f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, err := reused.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK := solveFile(t, path)
+			if ok != wantOK || reused.Stats() != want.Stats() || !sameModel(reused, want) {
+				t.Fatalf("%s after a reset: verdict %v stats %+v, fresh solver %v %+v", tc, ok, reused.Stats(), wantOK, want.Stats())
+			}
+		}
+	}
+}
