@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet orapvet audit fmt build test race bench bench-parallel bench-smoke bench-json ci
+.PHONY: all vet orapvet audit fmt build test perfbench-check race bench bench-parallel bench-smoke bench-json ci
 
 all: vet build test
 
@@ -35,6 +35,12 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench/ is a nested module, so `go build ./...` and `go test ./...`
+# at the root never compile it; an API removal could break the benchmark
+# harness while every other target stays green.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # Whole-repo race leg. -short skips the 2e6-draw RNG disjointness scan,
 # which is slow under the race runtime and single-goroutine anyway; the
 # orapvet shortrace rule guarantees no goroutine-spawning test hides
@@ -54,7 +60,7 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'CloneRelease|NewParallelNoPool' -benchmem ./internal/sim
 
 # One-iteration compile-and-run pass over the SAT-engine, ATPG, dataflow,
-# and vet benchmarks: the legacy-vs-COI miter attack pair, the propagation
+# and vet benchmarks: the COI-miter SAT attack, the propagation
 # microbench, one pooled-solver ATPG campaign (with -benchmem, so its
 # allocation figure is printed), the five-domain fixpoint sweep (whose
 # worker-invariance assertion runs before the timer), and a full
@@ -73,4 +79,4 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'ScanOracle|SessionCached|SampleDisagreement|AppSAT' \
 		-benchtime $(BENCHTIME) -json ./internal/oracle ./internal/attack > BENCH_oracle.json
 
-ci: vet fmt orapvet audit build test race bench-smoke bench-json
+ci: vet fmt orapvet audit build test perfbench-check race bench-smoke bench-json

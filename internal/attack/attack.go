@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"orap/internal/cnf"
+	"orap/internal/ir"
 	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/rng"
@@ -94,12 +96,23 @@ func VerifyKey(locked, reference *netlist.Circuit, key []bool) (bool, error) {
 	if locked.NumInputs() != reference.NumInputs() || locked.NumOutputs() != reference.NumOutputs() {
 		return false, fmt.Errorf("attack: locked/reference shapes differ")
 	}
-	s := sat.New()
-	li, err := encodeLockedWithKey(s, locked, key)
+	lp, err := ir.Compile(locked)
 	if err != nil {
 		return false, err
 	}
-	ri, err := encodeShared(s, reference, li.PIVars)
+	rp, err := ir.Compile(reference)
+	if err != nil {
+		return false, err
+	}
+	s := sat.New()
+	li, err := cnf.EncodeProgram(s, lp, cnf.Options{})
+	if err != nil {
+		return false, err
+	}
+	if err := cnf.ConstrainBits(s, li.KeyVars, key); err != nil {
+		return false, err
+	}
+	ri, err := cnf.EncodeProgram(s, rp, cnf.Options{PIVars: li.PIVars})
 	if err != nil {
 		return false, err
 	}
@@ -107,7 +120,7 @@ func VerifyKey(locked, reference *netlist.Circuit, key []bool) (bool, error) {
 	diffs := make([]sat.Lit, 0, len(li.POVars))
 	for i := range li.POVars {
 		d := sat.MkLit(s.NewVar(), false)
-		addXor2(s, d, sat.MkLit(li.POVars[i], false), sat.MkLit(ri.POVars[i], false))
+		cnf.EmitXor2(s, d, sat.MkLit(li.POVars[i], false), sat.MkLit(ri.POVars[i], false))
 		diffs = append(diffs, d)
 	}
 	s.AddClause(diffs...)

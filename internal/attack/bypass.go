@@ -66,12 +66,13 @@ func Bypass(locked *netlist.Circuit, o oracle.Oracle, chosenKey []bool, opts Byp
 	}
 	s := sat.New()
 	s.MaxConflicts = opts.MaxConflicts
-	// The legacy (two-full-copy) miter on purpose: the enumeration blocks
-	// complete input patterns and the patch table is keyed by them, so
-	// every primary input must be constrained by the encoding. The
-	// cone-of-influence miter leaves key-unreachable inputs free and would
-	// re-discover the same disagreement cone once per don't-care pattern.
-	m, err := cnf.NewMiterLegacy(s, locked)
+	// Every input pattern the miter admits is a complete assignment of the
+	// primary inputs, including those outside the key-reachable support
+	// (the miter leaves them free), and the blocking clause below removes
+	// exactly that pattern. The loop therefore enumerates the set
+	// {x : ∃k₂ C(x,k₁) ≠ C(x,k₂)} one full pattern at a time; which
+	// encoding finds them changes only the order.
+	m, err := cnf.NewMiter(s, locked)
 	if err != nil {
 		return nil, err
 	}

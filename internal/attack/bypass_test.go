@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
+	"orap/internal/netlist"
 	"orap/internal/oracle"
 	"orap/internal/orap"
 	"orap/internal/rng"
@@ -52,6 +54,91 @@ func TestBypassDefeatsSARLock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBypassPatchesMatchDisagreementSet checks the bypass enumeration
+// against exhaustive evaluation: the patched patterns are exactly the
+// inputs on which some key disagrees with the chosen one, and every patch
+// carries the original circuit's response.
+func TestBypassPatchesMatchDisagreementSet(t *testing.T) {
+	orig := circuits.C17()
+	origProg := ir.MustCompile(orig)
+	locks := []struct {
+		name string
+		lock func(*netlist.Circuit, int, *rng.Stream) (*lock.Locked, error)
+	}{{"sarlock", lock.SARLock}, {"antisat", lock.AntiSAT}}
+	for _, lk := range locks {
+		for seed := uint64(1); seed <= 3; seed++ {
+			l, err := lk.lock(orig, 0, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chosen := append([]bool(nil), l.Key...)
+			chosen[int(seed)%len(chosen)] = !chosen[int(seed)%len(chosen)]
+			o, err := oracle.NewComb(orig, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Bypass(l.Circuit, o, chosen, BypassOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			prog := ir.MustCompile(l.Circuit)
+			nk, ni := prog.NumKeys(), prog.NumInputs()
+			want := map[string]bool{}
+			x, k2 := make([]bool, ni), make([]bool, nk)
+			for v := 0; v < 1<<uint(ni); v++ {
+				for i := range x {
+					x[i] = v>>uint(i)&1 == 1
+				}
+				y1, err := prog.Eval(x, chosen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for kv := 0; kv < 1<<uint(nk); kv++ {
+					for i := range k2 {
+						k2[i] = kv>>uint(i)&1 == 1
+					}
+					y2, err := prog.Eval(x, k2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !equalBits(y1, y2) {
+						want[patternKey(x)] = true
+						break
+					}
+				}
+			}
+			if len(want) == 0 || len(res.Patches) != len(want) {
+				t.Fatalf("%s seed %d: %d patches, %d patterns in the disagreement set", lk.name, seed, len(res.Patches), len(want))
+			}
+			for p, y := range res.Patches {
+				if !want[p] {
+					t.Fatalf("%s seed %d: patch %s outside the disagreement set", lk.name, seed, p)
+				}
+				for i := range x {
+					x[i] = p[i] == '1'
+				}
+				ref, err := origProg.Eval(x, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalBits(y, ref) {
+					t.Fatalf("%s seed %d: patch %s answers %v, original circuit %v", lk.name, seed, p, y, ref)
+				}
+			}
+		}
+	}
+}
+
+func equalBits(a, b []bool) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 func TestBypassBudgetOnHighCorruptionLocking(t *testing.T) {

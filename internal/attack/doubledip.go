@@ -58,7 +58,7 @@ func DoubleDIP(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, er
 		diff = append(diff, sat.MkLit(actPair, true))
 		for i := range pair[0] {
 			d := sat.MkLit(s.NewVar(), false)
-			addXor2(s, d, sat.MkLit(pair[0][i], false), sat.MkLit(pair[1][i], false))
+			cnf.EmitXor2(s, d, sat.MkLit(pair[0][i], false), sat.MkLit(pair[1][i], false))
 			diff = append(diff, d)
 		}
 		s.AddClause(diff...)

@@ -17,21 +17,13 @@ import (
 // cone-of-influence form (cnf.NewMiter), which duplicates only
 // key-reachable logic.
 func SAT(locked *netlist.Circuit, o oracle.Oracle, b Budgets) (*Result, error) {
-	return satWithMiter(locked, o, b, cnf.NewMiter)
-}
-
-// satWithMiter is the SAT attack parameterized by the miter construction,
-// so the benchmark suite can pit the cone-of-influence encoding against
-// the legacy two-full-copy encoding on identical attack runs.
-func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
-	newMiter func(*sat.Solver, *netlist.Circuit) (*cnf.Miter, error)) (*Result, error) {
 	if o.NumInputs() != locked.NumInputs() || o.NumOutputs() != locked.NumOutputs() {
 		return nil, fmt.Errorf("attack: oracle shape %d/%d does not match circuit %d/%d",
 			o.NumInputs(), o.NumOutputs(), locked.NumInputs(), locked.NumOutputs())
 	}
 	s := sat.New()
 	s.MaxConflicts = b.MaxConflicts
-	m, err := newMiter(s, locked)
+	m, err := cnf.NewMiter(s, locked)
 	if err != nil {
 		return nil, err
 	}
@@ -79,30 +71,4 @@ func satWithMiter(locked *netlist.Circuit, o oracle.Oracle, b Budgets,
 	res.Key = m.ExtractKey1()
 	res.Converged = true
 	return res, nil
-}
-
-// encodeLockedWithKey encodes one copy of a locked circuit with its key
-// inputs fixed to the given constants.
-func encodeLockedWithKey(s *sat.Solver, locked *netlist.Circuit, key []bool) (*cnf.Instance, error) {
-	inst, err := cnf.Encode(s, locked, cnf.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := cnf.ConstrainBits(s, inst.KeyVars, key); err != nil {
-		return nil, err
-	}
-	return inst, nil
-}
-
-// encodeShared encodes a circuit reusing the given primary-input variables.
-func encodeShared(s *sat.Solver, c *netlist.Circuit, piVars []sat.Var) (*cnf.Instance, error) {
-	return cnf.Encode(s, c, cnf.Options{PIVars: piVars})
-}
-
-// addXor2 emits d ↔ a ⊕ b.
-func addXor2(s *sat.Solver, d, a, b sat.Lit) {
-	s.AddClause(d.Not(), a, b)
-	s.AddClause(d.Not(), a.Not(), b.Not())
-	s.AddClause(d, a.Not(), b)
-	s.AddClause(d, a, b.Not())
 }

@@ -55,7 +55,8 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 	res.Key = make([]bool, nk)
 	res.Determined = make([]bool, nk)
 
-	// One compile serves both the cone analysis and the verify loop.
+	// One compile serves the cone analysis, the golden-pattern searches and
+	// the verify loop.
 	prog, err := ir.Compile(locked)
 	if err != nil {
 		return nil, err
@@ -113,7 +114,7 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 		if len(candidates) > 8 {
 			candidates = candidates[:8]
 		}
-		x, ok, err := findGoldenPattern(locked, bit, candidates, opts.MaxConflicts)
+		x, ok, err := findGoldenPattern(prog, bit, candidates, opts.MaxConflicts)
 		if err != nil {
 			return res, err
 		}
@@ -212,21 +213,22 @@ func Sensitize(locked *netlist.Circuit, o oracle.Oracle, opts SensitizeOptions) 
 
 // findGoldenPattern searches for an input pattern on which flipping key
 // bit `bit` flips one of the candidate primary outputs for at least one
-// assignment of the remaining key bits.
-func findGoldenPattern(locked *netlist.Circuit, bit int, outputs []int, maxConflicts int64) ([]bool, bool, error) {
+// assignment of the remaining key bits. prog is the compiled locked
+// circuit.
+func findGoldenPattern(prog *ir.Program, bit int, outputs []int, maxConflicts int64) ([]bool, bool, error) {
 	if len(outputs) == 0 {
 		return nil, false, nil // bit reaches no output: never sensitizable
 	}
 	s := sat.New()
 	s.MaxConflicts = maxConflicts
-	a, err := cnf.Encode(s, locked, cnf.Options{})
+	a, err := cnf.EncodeProgram(s, prog, cnf.Options{})
 	if err != nil {
 		return nil, false, err
 	}
 	// Second copy shares PIs and all key vars except the target bit.
 	sharedKeys := append([]sat.Var(nil), a.KeyVars...)
 	sharedKeys[bit] = s.NewVar()
-	b, err := cnf.Encode(s, locked, cnf.Options{PIVars: a.PIVars, KeyVars: sharedKeys})
+	b, err := cnf.EncodeProgram(s, prog, cnf.Options{PIVars: a.PIVars, KeyVars: sharedKeys})
 	if err != nil {
 		return nil, false, err
 	}
@@ -236,7 +238,7 @@ func findGoldenPattern(locked *netlist.Circuit, bit int, outputs []int, maxConfl
 	diffs := make([]sat.Lit, 0, len(outputs))
 	for _, j := range outputs {
 		d := sat.MkLit(s.NewVar(), false)
-		addXor2(s, d, sat.MkLit(a.POVars[j], false), sat.MkLit(b.POVars[j], false))
+		cnf.EmitXor2(s, d, sat.MkLit(a.POVars[j], false), sat.MkLit(b.POVars[j], false))
 		diffs = append(diffs, d)
 	}
 	s.AddClause(diffs...)

@@ -5,6 +5,7 @@ import (
 
 	"orap/internal/benchgen"
 	"orap/internal/circuits"
+	"orap/internal/ir"
 	"orap/internal/lock"
 	"orap/internal/netlist"
 	"orap/internal/rng"
@@ -17,8 +18,11 @@ import (
 func solveWithInputs(t *testing.T, c *netlist.Circuit, pattern []bool) []bool {
 	t.Helper()
 	s := sat.New()
-	inst, err := Encode(s, c, Options{FixedPIs: pattern})
+	inst, err := EncodeProgram(s, ir.MustCompile(c), Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ConstrainBits(s, inst.PIVars, pattern); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := s.Solve()
@@ -90,13 +94,13 @@ func TestEncodeMatchesSimulationAllGateTypes(t *testing.T) {
 }
 
 func TestEncodeSharedVariables(t *testing.T) {
-	c := circuits.C17()
+	prog := ir.MustCompile(circuits.C17())
 	s := sat.New()
-	a, err := Encode(s, c, Options{})
+	a, err := EncodeProgram(s, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(s, c, Options{PIVars: a.PIVars})
+	b, err := EncodeProgram(s, prog, Options{PIVars: a.PIVars})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +122,12 @@ func TestEncodeSharedVariables(t *testing.T) {
 }
 
 func TestEncodeOptionValidation(t *testing.T) {
-	c := circuits.C17()
+	prog := ir.MustCompile(circuits.C17())
 	s := sat.New()
-	if _, err := Encode(s, c, Options{PIVars: make([]sat.Var, 2)}); err == nil {
+	if _, err := EncodeProgram(s, prog, Options{PIVars: make([]sat.Var, 2)}); err == nil {
 		t.Error("wrong PIVars width accepted")
 	}
-	if _, err := Encode(s, c, Options{FixedPIs: make([]bool, 2)}); err == nil {
-		t.Error("wrong FixedPIs width accepted")
-	}
-	if _, err := Encode(s, c, Options{KeyVars: make([]sat.Var, 1)}); err == nil {
+	if _, err := EncodeProgram(s, prog, Options{KeyVars: make([]sat.Var, 1)}); err == nil {
 		t.Error("wrong KeyVars width accepted")
 	}
 }
@@ -159,7 +160,7 @@ func TestMiterFindsDistinguishingInput(t *testing.T) {
 	// The model must truly be a DIP: simulate both extracted keys.
 	x := m.ExtractInputs()
 	k1 := m.ExtractKey1()
-	k2 := m.ExtractKey2()
+	k2 := extract(s, m.Key2)
 	o1, _ := sim.Eval(l.Circuit, x, k1)
 	o2, _ := sim.Eval(l.Circuit, x, k2)
 	same := true
@@ -171,6 +172,115 @@ func TestMiterFindsDistinguishingInput(t *testing.T) {
 	if same {
 		t.Fatal("extracted DIP does not distinguish the extracted keys")
 	}
+}
+
+// TestMiterMatchesBruteForce checks the cone-of-influence miter against
+// exhaustive evaluation: for every sampled key pair, solving under the
+// disequality with both key copies pinned is satisfiable exactly when some
+// input distinguishes the two keys, and every returned DIP does.
+func TestMiterMatchesBruteForce(t *testing.T) {
+	locks := []struct {
+		name string
+		lock func(*netlist.Circuit, *rng.Stream) (*lock.Locked, error)
+	}{
+		{"randomxor", func(c *netlist.Circuit, r *rng.Stream) (*lock.Locked, error) { return lock.RandomXOR(c, 4, r) }},
+		{"sarlock", func(c *netlist.Circuit, r *rng.Stream) (*lock.Locked, error) { return lock.SARLock(c, 4, r) }},
+		{"antisat", func(c *netlist.Circuit, r *rng.Stream) (*lock.Locked, error) { return lock.AntiSAT(c, 3, r) }},
+	}
+	plains := []*netlist.Circuit{circuits.C17(), circuits.Comparator4(), circuits.RippleAdder(4)}
+	r := rng.New(14)
+	distinct, equal := 0, 0
+	for _, lk := range locks {
+		for _, plain := range plains {
+			l, err := lk.lock(plain, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := ir.MustCompile(l.Circuit)
+			s := sat.New()
+			m, err := NewMiter(s, l.Circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nk, ni := prog.NumKeys(), prog.NumInputs()
+			// Pairs: equal keys, one-bit neighbours, the correct key against
+			// random keys, and independent random pairs.
+			for pair := 0; pair < 24; pair++ {
+				k1, k2 := make([]bool, nk), make([]bool, nk)
+				switch pair % 4 {
+				case 0:
+					r.Bits(k1)
+					copy(k2, k1)
+				case 1:
+					r.Bits(k1)
+					copy(k2, k1)
+					i := r.Intn(nk)
+					k2[i] = !k2[i]
+				case 2:
+					copy(k1, l.Key)
+					r.Bits(k2)
+				default:
+					r.Bits(k1)
+					r.Bits(k2)
+				}
+				want := false
+				x := make([]bool, ni)
+				for v := 0; v < 1<<uint(ni) && !want; v++ {
+					for i := range x {
+						x[i] = v>>uint(i)&1 == 1
+					}
+					want = !sameOutputs(t, prog, x, k1, k2)
+				}
+				assume := []sat.Lit{m.AssumeDiff()}
+				for i := range k1 {
+					assume = append(assume, sat.MkLit(m.Key1[i], !k1[i]), sat.MkLit(m.Key2[i], !k2[i]))
+				}
+				got, err := s.Solve(assume...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s/%s pair %d (k1=%v k2=%v): miter SAT=%v, brute force distinguishable=%v",
+						lk.name, plain.Name, pair, k1, k2, got, want)
+				}
+				if !got {
+					equal++
+					continue
+				}
+				distinct++
+				if dip := m.ExtractInputs(); sameOutputs(t, prog, dip, k1, k2) {
+					t.Fatalf("%s/%s pair %d: returned DIP %v does not distinguish the keys", lk.name, plain.Name, pair, dip)
+				}
+			}
+		}
+	}
+	// Every lock contributes six equal-key pairs; the sample must also hold
+	// distinct but equivalent keys, or the UNSAT side is only tested on
+	// the trivial case.
+	t.Logf("%d distinguishable pairs, %d equivalent pairs", distinct, equal)
+	if distinct == 0 || equal <= len(locks)*len(plains)*6 {
+		t.Fatalf("degenerate sample: %d distinguishable pairs, %d equivalent pairs", distinct, equal)
+	}
+}
+
+// sameOutputs reports whether the program gives equal outputs on x under
+// keys k1 and k2.
+func sameOutputs(t *testing.T, prog *ir.Program, x, k1, k2 []bool) bool {
+	t.Helper()
+	o1, err := prog.Eval(x, k1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2, err := prog.Eval(x, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range o1 {
+		if o1[i] != o2[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestMiterIOConstraintNarrowsKeys(t *testing.T) {
@@ -249,6 +359,7 @@ func TestEncodeMatchesSimulationRandomCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prog := ir.MustCompile(c)
 		in := make([]bool, c.NumInputs())
 		for pat := 0; pat < 4; pat++ {
 			r.Bits(in)
@@ -257,8 +368,11 @@ func TestEncodeMatchesSimulationRandomCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := sat.New()
-			inst, err := Encode(s, c, Options{FixedPIs: in})
+			inst, err := EncodeProgram(s, prog, Options{})
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ConstrainBits(s, inst.PIVars, in); err != nil {
 				t.Fatal(err)
 			}
 			ok, err := s.Solve()
@@ -280,10 +394,11 @@ func BenchmarkEncodeB20Slice(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog := ir.MustCompile(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sat.New()
-		if _, err := Encode(s, c, Options{}); err != nil {
+		if _, err := EncodeProgram(s, prog, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

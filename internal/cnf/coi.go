@@ -52,8 +52,7 @@ func newCOIInfo(prog *ir.Program) *coiInfo {
 // cannot influence are equal by construction). The resulting formula is
 // equisatisfiable with the full two-copy miter on every attack query but
 // substantially smaller whenever the key logic touches a fraction of the
-// circuit. Use NewMiterLegacy for formulations that need both full copies
-// (e.g. the bypass attack's full-pattern enumeration).
+// circuit.
 func NewMiter(s *sat.Solver, c *netlist.Circuit) (*Miter, error) {
 	if c.NumKeys() == 0 {
 		return nil, fmt.Errorf("cnf: miter over circuit %q with no key inputs", c.Name)
@@ -64,7 +63,6 @@ func NewMiter(s *sat.Solver, c *netlist.Circuit) (*Miter, error) {
 	}
 	m := &Miter{
 		S:         s,
-		Circuit:   c,
 		Prog:      prog,
 		coi:       newCOIInfo(prog),
 		constTrue: -1,
@@ -96,18 +94,13 @@ func NewMiter(s *sat.Solver, c *netlist.Circuit) (*Miter, error) {
 // NewMiterShared encodes a second miter over base's circuit that reuses
 // base's primary-input variables and shared fan-in encoding, adding only
 // two more key-cone copies with fresh key variables and its own activation
-// variable. This is the multi-miter formulation Double DIP uses; base must
-// be a cone-of-influence miter (from NewMiter).
+// variable. This is the multi-miter formulation Double DIP uses.
 func NewMiterShared(s *sat.Solver, base *Miter) (*Miter, error) {
-	if base.coi == nil {
-		return nil, fmt.Errorf("cnf: NewMiterShared requires a cone-of-influence miter")
-	}
 	if s != base.S {
 		return nil, fmt.Errorf("cnf: NewMiterShared must target the base miter's solver")
 	}
 	m := &Miter{
 		S:         s,
-		Circuit:   base.Circuit,
 		Prog:      base.Prog,
 		coi:       base.coi,
 		sharedVar: base.sharedVar,
@@ -202,10 +195,9 @@ func (m *Miter) encodeCone(keyVars []sat.Var, shared []sat.Var) ([]sat.Var, erro
 
 // addConePair encodes the two key-cone copies of m (reading shared logic
 // from src, which is m itself for a base miter and the base for a shared
-// one), fills Out1/Out2 and asserts the activation-guarded disequality
-// over the key-reachable outputs.
+// one) and asserts the activation-guarded disequality over the
+// key-reachable outputs.
 func (m *Miter) addConePair(src *Miter) error {
-	prog, info := m.Prog, m.coi
 	o1, err := m.encodeCone(m.Key1, src.sharedVar)
 	if err != nil {
 		return err
@@ -213,19 +205,6 @@ func (m *Miter) addConePair(src *Miter) error {
 	o2, err := m.encodeCone(m.Key2, src.sharedVar)
 	if err != nil {
 		return err
-	}
-	// Out1/Out2 keep full PO width: key-reachable outputs carry their
-	// per-copy variables, key-independent outputs share the single support
-	// variable when one was encoded and are -1 otherwise.
-	m.Out1 = make([]sat.Var, prog.NumOutputs())
-	m.Out2 = make([]sat.Var, prog.NumOutputs())
-	for i, id := range prog.POs {
-		m.Out1[i] = src.sharedVar[id]
-		m.Out2[i] = src.sharedVar[id]
-	}
-	for i, poi := range info.keyPOIdx {
-		m.Out1[poi] = o1[i]
-		m.Out2[poi] = o2[i]
 	}
 	m.Act = m.S.NewVar()
 	diffs := make([]sat.Lit, 0, len(o1)+1)
@@ -242,15 +221,15 @@ func (m *Miter) addConePair(src *Miter) error {
 	return nil
 }
 
-// addIOConstraintCOI records an oracle observation on a cone-of-influence
-// miter. The key-independent logic is not re-encoded: one concrete
-// evaluation of the program under x fixes every shared node, the two
-// per-key cone copies are emitted with those constants folded in, and only
-// the key-reachable outputs are constrained to the oracle response. A
-// response bit that contradicts the circuit on a key-independent output
-// makes the formula unsatisfiable, exactly as the full encoding's unit
-// clauses would.
-func (m *Miter) addIOConstraintCOI(x, y []bool) error {
+// AddIOConstraint records an oracle observation: for input pattern x with
+// oracle response y, both key copies must reproduce y on x. The
+// key-independent logic is not re-encoded: one concrete evaluation of the
+// program under x fixes every shared node, the two per-key cone copies are
+// emitted with those constants folded in, and only the key-reachable
+// outputs are constrained to the oracle response. A response bit that
+// contradicts the circuit on a key-independent output makes the formula
+// unsatisfiable, exactly as a full two-copy encoding's unit clauses would.
+func (m *Miter) AddIOConstraint(x, y []bool) error {
 	prog, info := m.Prog, m.coi
 	if len(x) != prog.NumInputs() {
 		return fmt.Errorf("cnf: %d input bits for %d inputs", len(x), prog.NumInputs())

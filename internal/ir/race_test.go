@@ -13,7 +13,7 @@ import (
 // TestConcurrentEvalNoWarmup evaluates a freshly parsed circuit from 8
 // goroutines with no warm-up call of any kind. Before the compiled IR,
 // netlist.Circuit carried lazily cached topo/level fields and every
-// concurrent consumer needed a serial MustTopoOrder() warm-up first;
+// concurrent consumer needed a serial topological-order warm-up first;
 // this test (run under -race in CI) pins the guarantee that no such
 // warm-up is needed anywhere anymore.
 func TestConcurrentEvalNoWarmup(t *testing.T) {

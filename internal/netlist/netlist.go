@@ -12,10 +12,7 @@
 // (logic depth) provide the delay estimate.
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // GateType enumerates the supported logic functions.
 type GateType uint8
@@ -403,15 +400,4 @@ func (c *Circuit) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// SortedNames returns all registered node names in lexicographic order.
-// It is primarily useful for deterministic serialization and tests.
-func (c *Circuit) SortedNames() []string {
-	names := make([]string, 0, len(c.byName))
-	for n := range c.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

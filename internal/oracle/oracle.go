@@ -209,32 +209,3 @@ func (o *Comb) QueryCycles() int64 { return 1 }
 
 // Queries implements Oracle.
 func (o *Comb) Queries() int { return o.queries }
-
-// Limited wraps an oracle with a query budget; exceeding it returns
-// ErrBudget. The budget counts only queries admitted through this
-// wrapper: an oracle shared across attacks (or pre-warmed before the
-// wrapper was installed) is not charged for its earlier queries.
-// Session subsumes Limited with memoisation and telemetry on top; the
-// wrapper remains for callers that want budgeting alone.
-type Limited struct {
-	Oracle
-	Max int
-
-	// used counts the queries this wrapper admitted.
-	used int
-}
-
-// ErrBudget reports an exhausted oracle query budget.
-var ErrBudget = fmt.Errorf("oracle: query budget exhausted")
-
-// Query implements Oracle, enforcing the budget.
-func (l *Limited) Query(x []bool) ([]bool, error) {
-	if l.Max > 0 && l.used >= l.Max {
-		return nil, ErrBudget
-	}
-	l.used++
-	return l.Oracle.Query(x)
-}
-
-// Used returns how many queries this wrapper has admitted.
-func (l *Limited) Used() int { return l.used }

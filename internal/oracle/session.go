@@ -59,6 +59,9 @@ type Session struct {
 
 var _ WordOracle = (*Session)(nil)
 
+// ErrBudget reports that a Session's query budget is exhausted.
+var ErrBudget = fmt.Errorf("oracle: query budget exhausted")
+
 // NewSession opens a session over o. maxQueries bounds the queries the
 // session admits to the underlying oracle (0 = unlimited); transcript
 // cache hits are free — they need no chip access.

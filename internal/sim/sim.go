@@ -214,22 +214,6 @@ func Eval(c *netlist.Circuit, pi, key []bool) ([]bool, error) {
 	return prog.Eval(pi, key)
 }
 
-// EvalAll evaluates a single pattern and returns the value of every node.
-// It is used by attacks that need internal visibility (e.g. sensitization)
-// and by tests.
-func EvalAll(c *netlist.Circuit, assign []bool) ([]bool, error) {
-	prog, err := ir.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	if len(assign) != prog.NumNodes() {
-		return nil, fmt.Errorf("sim: EvalAll needs one seed value per node (%d), got %d", prog.NumNodes(), len(assign))
-	}
-	vals := append([]bool(nil), assign...)
-	prog.RunBools(vals)
-	return vals, nil
-}
-
 // PopCount returns the number of set bits across the first n bits of w.
 func PopCount(w []uint64, n int) int {
 	total := 0
